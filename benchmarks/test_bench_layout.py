@@ -5,14 +5,11 @@ paper's Figure 2 blames the sampling wall on scattered DRAM access):
 renumber the CSR with the BFS-within-partition locality order, serve
 the same batched multi-hop workload from the hash baseline and the
 relabeled store, and compare ``AccessSummary`` contiguity accounting
-(``gather_runs`` / ``mean_run_length``) plus remote crossings. When
-numba is installed the compiled kernel tier is also timed and checked
-bit-identical against the NumPy reference tier.
+(``gather_runs`` / ``mean_run_length``) plus remote crossings.
 """
 
 import numpy as np
 
-from repro.framework.kernels import compiled_available
 from repro.framework.replay import replay_reference
 from repro.framework.requests import SampleRequest
 from repro.framework.sampler import MultiHopSampler
@@ -44,7 +41,7 @@ def hop_crossings(results, requests, partitioner, relabeling=None):
     return crossings
 
 
-def run_workload(graph, partitioner, requests, relabeling=None, kernels=None):
+def run_workload(graph, partitioner, requests, relabeling=None):
     store = PartitionedStore(graph, partitioner, track_locality=True)
     sampler = MultiHopSampler(
         store,
@@ -52,7 +49,6 @@ def run_workload(graph, partitioner, requests, relabeling=None, kernels=None):
         worker_partition=0,
         batched=True,
         relabeling=relabeling,
-        kernels=kernels,
     )
     results = [sampler.sample(request) for request in requests]
     return store, results
@@ -120,20 +116,6 @@ def test_layout_locality_win(benchmark, report):
     for a, b in zip(layout_results[0].layers, replayed.layers):
         assert np.array_equal(a, b)
 
-    kernel_line = "compiled tier: unavailable (numba not installed)"
-    if compiled_available():
-        _, compiled_results = run_workload(
-            layout.graph,
-            layout.partitioner,
-            requests,
-            relabeling=layout.relabeling,
-            kernels="compiled",
-        )
-        for lhs, rhs in zip(layout_results, compiled_results):
-            for a, b in zip(lhs.layers, rhs.layers):
-                assert np.array_equal(a, b), "tiers must be bit-identical"
-        kernel_line = "compiled tier: bit-identical to NumPy reference"
-
     report(
         "Locality layout (ll, 8000 nodes, 4 partitions, fanouts 10x10)",
         "\n".join(
@@ -146,7 +128,6 @@ def test_layout_locality_win(benchmark, report):
                 f"run_len={layout_store.summary.mean_run_length:.2f}",
                 f"crossings {100 * crossing_reduction:.1f}% fewer, "
                 f"runs {run_length_gain:.2f}x longer",
-                kernel_line,
             ]
         ),
     )

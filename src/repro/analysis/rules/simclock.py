@@ -27,10 +27,9 @@ SIM_MODULES = frozenset(
         # gateway's virtual clock, so Mutation.time_s must be sim time.
         "repro/graph/dynamic.py",
         "repro/memstore/ingest.py",
-        # Layout/kernel tier: benchmarked via perf_counter at the CLI
-        # only; the modules themselves must stay clock-free.
+        # Locality layout: benchmarked via perf_counter at the CLI
+        # only; the module itself must stay clock-free.
         "repro/memstore/locality.py",
-        "repro/framework/kernels.py",
         # Pipelined trainer: epoch wall-clock is measured by the
         # train-bench CLI via bench_timer; the trainer itself (and its
         # neighborhood cache) must stay clock-free so runs are a pure

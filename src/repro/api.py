@@ -98,14 +98,6 @@ class GnnSession:
         Incompatible with a ``DynamicGraph`` (the renumbering permutes
         an immutable CSR) and with ``workers > 0`` (shard workers
         attach the shared graph plane in original ID space).
-    kernels:
-        Kernel tier for the batched sampler's array primitives:
-        ``"numpy"`` (reference, default), ``"compiled"`` (numba;
-        raises when unavailable), or ``"auto"``. All tiers are
-        bit-identical — the NumPy fallback is mandatory and the
-        compiled tier changes wall clock only. ``None`` keeps the
-        reference tier. Incompatible with ``workers > 0`` (shard
-        workers run their own fixed NumPy path).
     """
 
     def __init__(
@@ -120,7 +112,6 @@ class GnnSession:
         batched: bool = False,
         workers: int = 0,
         layout: Optional[str] = None,
-        kernels: Optional[str] = None,
     ) -> None:
         if cache_nodes < 0:
             raise ConfigurationError(
@@ -132,11 +123,6 @@ class GnnSession:
             raise ConfigurationError(
                 "layout and workers are mutually exclusive; shard workers "
                 "attach the shared graph plane in original ID space"
-            )
-        if workers > 0 and kernels is not None:
-            raise ConfigurationError(
-                "kernels and workers are mutually exclusive; shard workers "
-                "run their own fixed NumPy path"
             )
         self.graph = graph
         self.layout = layout
@@ -201,7 +187,6 @@ class GnnSession:
                 selector=get_selector(sampling_method),
                 degraded_ok=reliability is not None,
                 batched=batched,
-                kernels=kernels,
                 relabeling=self.relabeling,
             )
         if engine_config is None:
@@ -507,7 +492,7 @@ class GnnSession:
 
         Builds a :class:`~repro.gnn.pipeline.PipelinedTrainer` — shard
         workers hop-sample micro-batch *k+1* while the coordinator runs
-        micro-batch *k*'s forward/backward against a sharded embedding
+        micro-batch *k*'s forward/backward against its dense embedding
         table — runs ``epochs`` passes, and returns its
         :class:`~repro.gnn.pipeline.TrainReport`. Losses and final
         weights are bit-identical at every session ``workers`` count.

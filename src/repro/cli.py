@@ -689,7 +689,8 @@ def _cmd_mutate_bench(args) -> None:
             "rate": rate,
             "sampling_s": sampling_s,
             "mutation_s": mutation_s,
-            "batches_per_s": args.batches / sampling_s,
+            # End to end: a batch costs its mutations plus its sample.
+            "batches_per_s": args.batches / (sampling_s + mutation_s),
             "max_epochs_per_sample": max_epochs_seen,
             "delta_hits": store.ingest_stats.delta_hits,
             "delta_edges_read": store.ingest_stats.delta_edges_read,
@@ -832,10 +833,6 @@ def _cmd_layout_bench(args) -> None:
     import numpy as np
 
     from repro.bench import bench_timer
-    from repro.framework.kernels import (
-        compiled_available,
-        compiled_unavailable_reason,
-    )
     from repro.framework.replay import replay_reference
     from repro.framework.requests import SampleRequest
     from repro.framework.sampler import MultiHopSampler
@@ -883,7 +880,7 @@ def _cmd_layout_bench(args) -> None:
                 total += picks.size
         return crossings, total
 
-    def run(store_graph, partitioner, relabeling, kernels):
+    def run(store_graph, partitioner, relabeling):
         best = float("inf")
         store = results = None
         for _ in range(args.repeats):
@@ -895,7 +892,6 @@ def _cmd_layout_bench(args) -> None:
                 seed=args.seed,
                 worker_partition=0,
                 batched=True,
-                kernels=kernels,
                 relabeling=relabeling,
             )
             with bench_timer() as timer:
@@ -904,10 +900,10 @@ def _cmd_layout_bench(args) -> None:
         return best, results, store
 
     baseline_s, baseline_results, baseline_store = run(
-        graph, base_partitioner, None, None
+        graph, base_partitioner, None
     )
     layout_s, layout_results, layout_store = run(
-        layout.graph, layout.partitioner, layout.relabeling, None
+        layout.graph, layout.partitioner, layout.relabeling
     )
     base_crossings, base_picks = hop_crossings(
         baseline_results, base_partitioner, None
@@ -937,29 +933,6 @@ def _cmd_layout_bench(args) -> None:
         relabeling=layout.relabeling,
     )
     replay_match = live_store.summary == replay_store.summary
-
-    # Kernel tier: same seed, same draws — the compiled tier must
-    # reproduce the NumPy layers bit for bit, winning wall clock only.
-    kernels_report = {"compiled_available": compiled_available()}
-    tiers_identical = None
-    if compiled_available():
-        compiled_s, compiled_results, _ = run(
-            layout.graph, layout.partitioner, layout.relabeling, "compiled"
-        )
-        tiers_identical = all(
-            np.array_equal(a, b)
-            for nr, cr in zip(layout_results, compiled_results)
-            for a, b in zip(nr.layers, cr.layers)
-        )
-        kernels_report.update(
-            {
-                "compiled_s": compiled_s,
-                "speedup_vs_numpy": layout_s / compiled_s,
-                "bit_identical": bool(tiers_identical),
-            }
-        )
-    else:
-        kernels_report["reason"] = compiled_unavailable_reason()
 
     def summarize(summary, wall_s, crossings, picks):
         return {
@@ -1005,7 +978,6 @@ def _cmd_layout_bench(args) -> None:
         "run_length_gain": run_length_gain,
         "locality_win": bool(locality_win),
         "replay_match": bool(replay_match),
-        "kernels": kernels_report,
     }
     if args.json:
         print(json.dumps(report, indent=2))
@@ -1028,14 +1000,7 @@ def _cmd_layout_bench(args) -> None:
         print(f"locality win: {'yes' if locality_win else 'NO'}")
         print(f"replay parity (layout path): "
               f"{'yes' if replay_match else 'NO'}")
-        if kernels_report["compiled_available"]:
-            print(f"compiled tier: {kernels_report['compiled_s'] * MS_PER_S:.2f} "
-                  f"ms ({kernels_report['speedup_vs_numpy']:.2f}x vs numpy), "
-                  f"bit-identical: "
-                  f"{'yes' if kernels_report['bit_identical'] else 'NO'}")
-        else:
-            print(f"compiled tier: unavailable ({kernels_report['reason']})")
-    if not replay_match or not locality_win or tiers_identical is False:
+    if not replay_match or not locality_win:
         raise SystemExit(1)
 
 
@@ -1147,7 +1112,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.set_defaults(fn=_cmd_cluster)
     layoutp = sub.add_parser(
         "layout-bench",
-        help="locality layout vs hash baseline + compiled kernel tier",
+        help="locality layout vs hash baseline: crossings + replay parity",
     )
     layoutp.add_argument("--max-nodes", type=int, default=20000)
     layoutp.add_argument("--batch-size", type=int, default=256)

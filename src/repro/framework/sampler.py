@@ -23,7 +23,6 @@ from repro.framework.requests import (
     SampleRequest,
     SampleResult,
 )
-from repro.framework.kernels import NUMPY_KERNELS, get_kernels
 from repro.framework.selectors import get_bucket_selector, select_uniform
 from repro.memstore.store import PartitionedStore
 
@@ -67,13 +66,6 @@ class MultiHopSampler:
         (the RNG consumption order differs, so the draws themselves are
         not stream-identical). ``False`` (the default) keeps the
         historical per-node reference walk bit-for-bit.
-    kernels:
-        Kernel tier for the batched hot path's array primitives — a
-        tier name (``"numpy"``/``"compiled"``/``"auto"``) or a tier
-        object from :func:`repro.framework.kernels.get_kernels`.
-        ``None`` keeps the reference NumPy tier. Every tier is
-        bit-identical (the RNG never leaves NumPy), so this changes
-        wall clock only.
     relabeling:
         Optional :class:`repro.memstore.locality.Relabeling` when the
         store's graph was physically renumbered by the locality
@@ -91,7 +83,6 @@ class MultiHopSampler:
         selector=select_uniform,
         degraded_ok: bool = False,
         batched: bool = False,
-        kernels=None,
         relabeling=None,
     ) -> None:
         self.store = store
@@ -101,7 +92,6 @@ class MultiHopSampler:
         self.selector = selector
         self.degraded_ok = degraded_ok
         self.batched = batched
-        self.kernels = NUMPY_KERNELS if kernels is None else get_kernels(kernels)
         self.relabeling = relabeling
         #: Reads completed without data because a shard was unreachable.
         self.degraded_fallbacks = 0
@@ -269,17 +259,16 @@ class MultiHopSampler:
             d = int(position_degrees[bucket[0]])
             u = inverse[bucket]
             starts = offsets[u]
-            matrix = self.kernels.gather_rows(values, starts, d)
+            cols = np.arange(d)
+            matrix = values[starts[:, None] + cols]
             if use_weights:
                 edge_starts = graph.indptr[unique[u]].astype(np.int64)
-                weights = self.kernels.gather_rows(graph.edge_attr, edge_starts, d)
+                weights = graph.edge_attr[edge_starts[:, None] + cols]
                 out[bucket] = bucket_selector(
-                    matrix, fanout, self.rng, weights=weights, kernels=self.kernels
+                    matrix, fanout, self.rng, weights=weights
                 )
             else:
-                out[bucket] = bucket_selector(
-                    matrix, fanout, self.rng, kernels=self.kernels
-                )
+                out[bucket] = bucket_selector(matrix, fanout, self.rng)
         return out
 
     def _neighbors_batch(self, unique: np.ndarray, counts: np.ndarray):

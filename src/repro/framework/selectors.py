@@ -20,11 +20,6 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.framework.kernels import (
-    NUMPY_KERNELS,
-    get_kernels,
-    rowwise_weighted_picks,
-)
 
 
 def select_uniform(
@@ -178,36 +173,53 @@ def _validate_bucket_weights(matrix: np.ndarray, weights: np.ndarray) -> np.ndar
     return weights
 
 
-# Canonical implementation lives in the kernel tier so the compiled
-# variant has a single reference to match bit for bit; re-exported under
-# the historical private name for the tests that call it directly.
-_rowwise_weighted_picks = rowwise_weighted_picks
+def rowwise_weighted_picks(cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Inverse-CDF picks for many rows with one searchsorted call.
+
+    ``cdf`` is ``(k, d)`` row-normalized cumulative weights in [0, 1];
+    ``draws`` is ``(k, m)`` uniforms. Each row's CDF is shifted by
+    ``2 * row`` so all rows live on one strictly increasing axis.
+
+    Zero-weight entries are unpickable: ``side="right"`` skips interior
+    plateaus (a draw landing exactly on a plateau value resolves past
+    it), and picks are clamped to each row's *last nonzero-weight*
+    index — a trailing zero-weight run produces CDF entries exactly
+    equal to the row total, so a draw landing on (or rounding past) the
+    final plateau must resolve to the entry that completed the mass,
+    not to ``d - 1``.
+    """
+    k, d = cdf.shape
+    shift = 2.0 * np.arange(k, dtype=np.float64)[:, None]
+    flat_cdf = (cdf + shift).ravel()
+    flat_draws = (draws + shift).ravel()
+    picks = np.searchsorted(flat_cdf, flat_draws, side="right")
+    picks = picks.reshape(draws.shape) - np.arange(k)[:, None] * d
+    # First index reaching the row total == last pickable entry
+    # (trailing zero weights add exactly 0.0, preserving the value).
+    last_pickable = np.argmax(cdf == cdf[:, -1:], axis=1)[:, None]
+    return np.clip(picks, 0, last_pickable)
 
 
 def select_uniform_bucket(
     matrix: np.ndarray,
     fanout: int,
     rng: np.random.Generator,
-    kernels=None,
 ) -> np.ndarray:
     """Batched :func:`select_uniform`: sample each row of ``matrix``."""
     matrix = np.asarray(matrix)
     _validate_bucket(matrix, fanout)
-    kernels = NUMPY_KERNELS if kernels is None else get_kernels(kernels)
     picks = rng.integers(0, matrix.shape[1], size=(matrix.shape[0], fanout))
-    return kernels.take_picks(matrix, picks)
+    return np.take_along_axis(matrix, picks, axis=1)
 
 
 def select_streaming_bucket(
     matrix: np.ndarray,
     fanout: int,
     rng: np.random.Generator,
-    kernels=None,
 ) -> np.ndarray:
     """Batched :func:`select_streaming`: one pick per group per row."""
     matrix = np.asarray(matrix)
     _validate_bucket(matrix, fanout)
-    kernels = NUMPY_KERNELS if kernels is None else get_kernels(kernels)
     k, n = matrix.shape
     all_picks = np.empty((k, fanout), dtype=np.int64)
     for group in range(fanout):
@@ -217,7 +229,7 @@ def select_streaming_bucket(
             all_picks[:, group] = rng.integers(0, n, size=k)
         else:
             all_picks[:, group] = rng.integers(start, stop, size=k)
-    return kernels.take_picks(matrix, all_picks)
+    return np.take_along_axis(matrix, all_picks, axis=1)
 
 
 def select_weighted_bucket(
@@ -225,19 +237,17 @@ def select_weighted_bucket(
     fanout: int,
     rng: np.random.Generator,
     weights: Optional[np.ndarray] = None,
-    kernels=None,
 ) -> np.ndarray:
     """Batched :func:`select_weighted` over a ``(k, d)`` weight matrix."""
     matrix = np.asarray(matrix)
     _validate_bucket(matrix, fanout)
     if weights is None:
-        return select_uniform_bucket(matrix, fanout, rng, kernels=kernels)
-    kernels = NUMPY_KERNELS if kernels is None else get_kernels(kernels)
+        return select_uniform_bucket(matrix, fanout, rng)
     weights = _validate_bucket_weights(matrix, weights)
     cdf = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
     draws = rng.random((matrix.shape[0], fanout))
-    picks = kernels.rowwise_weighted_picks(cdf, draws)
-    return kernels.take_picks(matrix, picks)
+    picks = rowwise_weighted_picks(cdf, draws)
+    return np.take_along_axis(matrix, picks, axis=1)
 
 
 def select_streaming_weighted_bucket(
@@ -245,14 +255,12 @@ def select_streaming_weighted_bucket(
     fanout: int,
     rng: np.random.Generator,
     weights: Optional[np.ndarray] = None,
-    kernels=None,
 ) -> np.ndarray:
     """Batched :func:`select_streaming_weighted`: weighted pick per group."""
     matrix = np.asarray(matrix)
     _validate_bucket(matrix, fanout)
     if weights is None:
-        return select_streaming_bucket(matrix, fanout, rng, kernels=kernels)
-    kernels = NUMPY_KERNELS if kernels is None else get_kernels(kernels)
+        return select_streaming_bucket(matrix, fanout, rng)
     weights = _validate_bucket_weights(matrix, weights)
     k, n = matrix.shape
     all_picks = np.empty((k, fanout), dtype=np.int64)
@@ -270,13 +278,13 @@ def select_streaming_weighted_bucket(
                 group_weights[weighted] / totals[weighted, None], axis=1
             )
             draws = rng.random((int(weighted.sum()), 1))
-            picks[weighted] = kernels.rowwise_weighted_picks(cdf, draws)[:, 0]
+            picks[weighted] = rowwise_weighted_picks(cdf, draws)[:, 0]
         if (~weighted).any():
             picks[~weighted] = rng.integers(
                 0, stop - start, size=int((~weighted).sum())
             )
         all_picks[:, group] = start + picks
-    return kernels.take_picks(matrix, all_picks)
+    return np.take_along_axis(matrix, all_picks, axis=1)
 
 
 #: Scalar selector -> its vectorized bucket variant. Custom selectors

@@ -11,11 +11,7 @@ from repro.gnn.layers import (
 )
 from repro.gnn.models import DSSM, GraphSageEncoder
 from repro.gnn.gcn import GcnEncoder, GcnLayer
-from repro.gnn.embedding import (
-    EmbeddingShard,
-    EmbeddingTable,
-    ShardedEmbeddingTable,
-)
+from repro.gnn.embedding import EmbeddingTable
 from repro.gnn.pipeline import (
     NeighborhoodCache,
     PipelinedTrainer,
@@ -43,9 +39,7 @@ __all__ = [
     "GraphSageEncoder",
     "GcnEncoder",
     "GcnLayer",
-    "EmbeddingShard",
     "EmbeddingTable",
-    "ShardedEmbeddingTable",
     "NeighborhoodCache",
     "PipelinedTrainer",
     "TrainReport",

@@ -18,7 +18,6 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.framework.kernels import default_kernels
 
 
 def segment_sum(
@@ -30,8 +29,7 @@ def segment_sum(
     unbuffered scatter-add, so duplicate segment IDs accumulate —
     unlike plain fancy-index assignment which silently drops them).
     Row ``i`` of the result is ``sum(values[segment_ids == i])``; empty
-    segments are zero. Validation runs here; the reduction is delegated
-    to the process default kernel tier (every tier is bit-identical).
+    segments are zero.
     """
     values = np.asarray(values)
     segment_ids = np.asarray(segment_ids, dtype=np.int64).reshape(-1)
@@ -43,7 +41,9 @@ def segment_sum(
         segment_ids.min() < 0 or segment_ids.max() >= num_segments
     ):
         raise ConfigurationError("segment ids outside [0, num_segments)")
-    return default_kernels().segment_sum(values, segment_ids, num_segments)
+    out = np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
+    np.add.at(out, segment_ids, values)
+    return out
 
 
 def segment_mean(
@@ -71,7 +71,10 @@ def ragged_segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     The CSR-adjacency form of :func:`segment_sum` (one reduction per
     neighborhood, as produced by
     :meth:`~repro.memstore.store.PartitionedStore.get_neighbors_batch`),
-    computed in one ``np.add.reduceat`` sweep. Empty segments are zero.
+    computed in one ``np.add.reduceat`` sweep. Empty segments are zero:
+    ``reduceat`` misbehaves on empty segments and rejects a start index
+    equal to ``len(values)``, so the reduction runs over non-empty
+    segments only and scatters back.
     """
     values = np.asarray(values)
     offsets = np.asarray(offsets, dtype=np.int64).reshape(-1)
@@ -81,7 +84,14 @@ def ragged_segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         )
     if np.any(np.diff(offsets) < 0):
         raise ConfigurationError("offsets must be non-decreasing")
-    return default_kernels().ragged_segment_sum(values, offsets)
+    num_segments = offsets.size - 1
+    out = np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
+    if values.shape[0] == 0 or num_segments == 0:
+        return out
+    nonempty = np.flatnonzero(np.diff(offsets) > 0)
+    if nonempty.size:
+        out[nonempty] = np.add.reduceat(values, offsets[nonempty], axis=0)
+    return out
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -5,20 +5,19 @@ drives the :class:`~repro.parallel.pipeline.PipelinedExecutor` so shard
 workers hop-sample micro-batch *k+1* while the coordinator runs the
 forward/backward of micro-batch *k* — the paper's LSD-GNN shape, which
 keeps the CPU embedding stage overlapped with (FPGA) sampling. The
-trainable state is a :class:`~repro.gnn.embedding.ShardedEmbeddingTable`
-partitioned exactly like the store, a graphSAGE encoder, and a linear
-classification head; each micro-batch does one dedup'd embedding
-gather, one forward/backward, one gradient scatter-add back to the
-owning shards, and one optimizer step.
+trainable state is a dense :class:`~repro.gnn.embedding.EmbeddingTable`
+on the coordinator, a graphSAGE encoder, and a linear classification
+head; each micro-batch does one embedding gather, one
+forward/backward, one gradient scatter-add into the table, and one
+optimizer step.
 
 Determinism contract
 --------------------
 Losses and weights are **bit-identical at every worker count** (the
 same bar the sampler meets): shard results are bit-identical by the
 engine's (seed, shard, seq) streams, the executor yields them in
-request order, the embedding scatter-add routes every occurrence of a
-node to its single owning shard in occurrence order, and all compute
-runs on the coordinator.
+request order, the embedding scatter-add sums every node's gradients
+in occurrence order, and all compute runs on the coordinator.
 
 :class:`NeighborhoodCache` is the ScaleGNN trick: repeated-epoch
 training re-samples the same multi-hop neighborhoods every epoch, so
@@ -44,7 +43,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.framework.requests import SampleRequest, SampleResult
-from repro.gnn.embedding import ShardedEmbeddingTable
+from repro.gnn.embedding import EmbeddingTable
 from repro.gnn.layers import Dense
 from repro.gnn.models import GraphSageEncoder
 from repro.gnn.train import multilabel_loss
@@ -212,8 +211,7 @@ class PipelinedTrainer:
     ----------
     store:
         The coordinator's :class:`PartitionedStore`; its partitioner
-        also shards the embedding table, so embedding ownership is
-        fixed across worker counts.
+        also fixes the row order :meth:`weights_digest` hashes.
     labels:
         ``(num_nodes, num_labels)`` multi-label targets.
     fanouts:
@@ -286,8 +284,8 @@ class PipelinedTrainer:
         # micro-batches vary in size — provision for the largest now.
         engine.reserve(batch_size, self.fanouts)
         self.executor = PipelinedExecutor(engine, depth=pipeline_depth)
-        self.embeddings = ShardedEmbeddingTable(
-            store.graph.num_nodes, embedding_dim, store.partitioner, seed=seed
+        self.embeddings = EmbeddingTable(
+            store.graph.num_nodes, embedding_dim, seed=seed
         )
         self.encoder = GraphSageEncoder(
             embedding_dim,
@@ -446,11 +444,18 @@ class PipelinedTrainer:
         """SHA-256 over every trainable array, in a fixed order.
 
         Bit-identical runs (the workers=0/1/2/4 parity bar) produce the
-        same digest; any single differing bit changes it.
+        same digest; any single differing bit changes it. Embedding rows
+        are hashed grouped by owning partition (a stable sort of node
+        IDs by ``store.partitioner``), ascending ID within a partition,
+        so the digests recorded in ``BENCH_train.json`` stay valid.
         """
         digest = hashlib.sha256()
-        for shard in self.embeddings.shards:
-            digest.update(np.ascontiguousarray(shard.rows).tobytes())
+        table = self.embeddings.table
+        owners = self.store.partitioner.partition_of(
+            np.arange(table.shape[0], dtype=np.int64)
+        )
+        order = np.argsort(owners, kind="stable")
+        digest.update(table[order].tobytes())
         for dense in self.encoder.dense_layers() + [self.head]:
             digest.update(np.ascontiguousarray(dense.weight).tobytes())
             digest.update(np.ascontiguousarray(dense.bias).tobytes())

@@ -218,3 +218,28 @@ def test_fixture_module_marker_respected():
     assert all(
         f.path == "repro/serving/stamp_fixture.py" for f in result.findings
     )
+
+
+# -------------------------------------------------------------- rule scopes
+def _scoped_module_paths():
+    from repro.analysis.rules.crossmodule.registry import (
+        COUNTER_CLASSES,
+        COUNTER_OWNERS,
+    )
+    from repro.analysis.rules.exceptions import FAULT_PATH_MODULES
+    from repro.analysis.rules.simclock import SIM_MODULES
+
+    paths = set(FAULT_PATH_MODULES) | set(SIM_MODULES)
+    for key, owners in COUNTER_CLASSES.items():
+        paths.add(key.split("::")[0])
+        paths |= owners
+    for owners in COUNTER_OWNERS.values():
+        paths |= owners
+    return sorted(paths)
+
+
+@pytest.mark.parametrize("module_path", _scoped_module_paths())
+def test_rule_scope_names_an_existing_module(module_path):
+    """A scope entry for a deleted module silently enforces nothing."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    assert (src / module_path).is_file(), f"stale lint scope: {module_path}"

@@ -182,6 +182,11 @@ class TestMutateBenchCommand:
         assert rates == sorted(rates) and rates[0] == 0
         # Mutating rates actually hit the append log.
         assert all(row["delta_hits"] > 0 for row in report["sweep"][1:])
+        # Throughput is end to end: mutation time counts against it.
+        for row in report["sweep"]:
+            assert row["batches_per_s"] == pytest.approx(
+                report["batches"] / (row["sampling_s"] + row["mutation_s"])
+            )
 
     def test_mutate_bench_with_cache(self, capsys):
         assert main([
@@ -265,10 +270,7 @@ class TestLayoutBench:
             report["layout"]["gather_nodes"]
             == report["baseline"]["gather_nodes"]
         )
-        if not report["kernels"]["compiled_available"]:
-            assert "numba" in report["kernels"]["reason"]
-        else:
-            assert report["kernels"]["bit_identical"] is True
+        assert "kernels" not in report
 
     def test_parser_lists_layout_bench(self):
         assert "layout-bench" in build_parser().format_help()

@@ -6,8 +6,8 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.framework.selectors import (
     SELECTORS,
-    _rowwise_weighted_picks,
     get_selector,
+    rowwise_weighted_picks,
     select_streaming,
     select_streaming_bucket,
     select_streaming_weighted_bucket,
@@ -122,12 +122,12 @@ class TestRowwiseWeightedPicksBoundary:
 
     def test_trailing_zero_weights_unpickable(self):
         cdf = self._cdf([[1.0, 0.0, 0.0]])
-        picks = _rowwise_weighted_picks(cdf, np.array([[1.0]]))
+        picks = rowwise_weighted_picks(cdf, np.array([[1.0]]))
         assert picks.tolist() == [[0]]
 
     def test_partial_trailing_zero_run(self):
         cdf = self._cdf([[1.0, 1.0, 1.0, 0.0]])
-        picks = _rowwise_weighted_picks(cdf, np.array([[1.0]]))
+        picks = rowwise_weighted_picks(cdf, np.array([[1.0]]))
         # cdf == [1/3, 2/3, 1, 1]: the plateau draw resolves to the
         # entry that completed the mass, not the zero-weight tail.
         assert picks.tolist() == [[2]]
@@ -136,19 +136,24 @@ class TestRowwiseWeightedPicksBoundary:
         cdf = self._cdf([[1.0, 0.0, 1.0]])
         # cdf == [0.5, 0.5, 1]; a draw exactly on the interior plateau
         # must resolve past it (side="right"), never to the zero column.
-        picks = _rowwise_weighted_picks(cdf, np.array([[0.5]]))
+        picks = rowwise_weighted_picks(cdf, np.array([[0.5]]))
         assert picks.tolist() == [[2]]
 
     def test_rows_clamp_independently(self):
         cdf = self._cdf([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-        picks = _rowwise_weighted_picks(cdf, np.full((2, 2), 1.0))
+        picks = rowwise_weighted_picks(cdf, np.full((2, 2), 1.0))
         assert picks[0].tolist() == [0, 0]
         assert picks[1].tolist() == [2, 2]
+
+    def test_two_column_row_picks(self):
+        cdf = np.array([[0.5, 1.0]])
+        picks = rowwise_weighted_picks(cdf, np.array([[0.4, 0.6]]))
+        assert picks.tolist() == [[0, 1]]
 
     def test_in_range_draws_unaffected(self):
         cdf = self._cdf([[1.0, 2.0, 1.0]])
         draws = np.array([[0.0, 0.2, 0.5, 0.7, 0.99]])
-        picks = _rowwise_weighted_picks(cdf, draws)
+        picks = rowwise_weighted_picks(cdf, draws)
         assert picks.tolist() == [[0, 0, 1, 1, 2]]
 
     def test_end_to_end_bucket_never_picks_zero_weight(self):

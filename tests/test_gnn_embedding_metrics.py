@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.gnn.embedding import (
-    EmbeddingShard,
-    EmbeddingTable,
-    ShardedEmbeddingTable,
-)
+from repro.gnn.embedding import EmbeddingTable
 from repro.gnn.metrics import accuracy, hits_at_k, micro_f1
-from repro.graph.partition import HashPartitioner
 
 
 class TestEmbeddingTable:
@@ -47,6 +42,19 @@ class TestEmbeddingTable:
         table.step(0.1)
         assert table.pending_rows == 0
 
+    def test_accumulate_grad_out_of_range(self):
+        table = EmbeddingTable(10, 2, seed=0)
+        before = table.table.copy()
+        table.accumulate_grad(np.array([4]), np.ones((1, 2)))
+        for bad in (-1, 10):
+            with pytest.raises(ConfigurationError):
+                table.accumulate_grad(np.array([1, bad]), np.ones((2, 2)))
+        # rejected batches leave the earlier pending row as it was
+        assert table.pending_rows == 1
+        table.step(1.0)
+        assert np.array_equal(table.table[:4], before[:4])
+        assert np.array_equal(table.table[5:], before[5:])
+
     def test_grad_shape_mismatch(self):
         table = EmbeddingTable(10, 2)
         with pytest.raises(ConfigurationError):
@@ -65,93 +73,6 @@ class TestEmbeddingTable:
             table.accumulate_grad(np.array([2]), grad)
             table.step(0.1)
         assert np.allclose(table.table[2], target, atol=1e-2)
-
-
-class TestShardedEmbeddingTable:
-    NODES = 60
-    DIM = 6
-
-    def _tables(self, partitions=3, seed=5):
-        dense = EmbeddingTable(self.NODES, self.DIM, seed=seed)
-        sharded = ShardedEmbeddingTable(
-            self.NODES, self.DIM, HashPartitioner(partitions), seed=seed
-        )
-        return dense, sharded
-
-    def test_init_bit_identical_to_dense(self):
-        dense, sharded = self._tables()
-        assert np.array_equal(dense.table, sharded.to_dense())
-
-    def test_shard_count_follows_partitioner(self):
-        _, sharded = self._tables(partitions=4)
-        assert sharded.num_shards == 4
-        owned = np.concatenate([s.node_ids for s in sharded.shards])
-        assert np.array_equal(np.sort(owned), np.arange(self.NODES))
-
-    def test_lookup_matches_dense(self):
-        dense, sharded = self._tables()
-        nodes = np.array([[0, 7, 7], [59, 3, 0]])
-        assert np.array_equal(dense.lookup(nodes), sharded.lookup(nodes))
-
-    def test_duplicate_root_batches_bit_identical(self):
-        """Duplicate-root micro-batches: occurrence-order float32 sums
-        must match the dense table bit for bit (satellite 3)."""
-        dense, sharded = self._tables()
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            nodes = rng.integers(0, self.NODES, size=40)
-            grads = rng.standard_normal((40, self.DIM)).astype(np.float32)
-            dense.accumulate_grad(nodes, grads)
-            sharded.accumulate_grad(nodes, grads)
-            dense.step(0.1)
-            sharded.step(0.1)
-        assert np.array_equal(dense.table, sharded.to_dense())
-
-    def test_single_partition_matches_dense(self):
-        dense, sharded = self._tables(partitions=1)
-        nodes = np.array([1, 1, 2, 1])
-        grads = np.full((4, self.DIM), 0.25, dtype=np.float32)
-        dense.accumulate_grad(nodes, grads)
-        sharded.accumulate_grad(nodes, grads)
-        dense.step(1.0)
-        sharded.step(1.0)
-        assert np.array_equal(dense.table, sharded.to_dense())
-
-    def test_shard_rejects_out_of_shard_nodes(self):
-        _, sharded = self._tables()
-        shard = sharded.shards[0]
-        foreign = np.setdiff1d(np.arange(self.NODES), shard.node_ids)[:1]
-        with pytest.raises(ConfigurationError, match="not owned by"):
-            shard.accumulate_grad(
-                foreign, np.ones((1, self.DIM), dtype=np.float32)
-            )
-        # a rejected batch must not leave partial pending state
-        assert shard.pending_rows == 0
-
-    def test_table_routes_instead_of_rejecting(self):
-        _, sharded = self._tables()
-        nodes = np.arange(self.NODES)  # touches every shard
-        sharded.accumulate_grad(
-            nodes, np.ones((self.NODES, self.DIM), dtype=np.float32)
-        )
-        assert sharded.pending_rows == self.NODES
-        sharded.step(1.0)
-        assert sharded.pending_rows == 0
-
-    def test_lookup_out_of_range(self):
-        _, sharded = self._tables()
-        with pytest.raises(ConfigurationError):
-            sharded.lookup(np.array([self.NODES]))
-        with pytest.raises(ConfigurationError):
-            sharded.accumulate_grad(
-                np.array([-1]), np.ones((1, self.DIM), dtype=np.float32)
-            )
-
-    def test_shard_validation(self):
-        with pytest.raises(ConfigurationError, match="sorted"):
-            EmbeddingShard(0, np.array([3, 1]), np.zeros((2, 2), np.float32))
-        with pytest.raises(ConfigurationError, match="rows"):
-            EmbeddingShard(0, np.array([1, 3]), np.zeros((1, 2), np.float32))
 
 
 class TestMetrics:

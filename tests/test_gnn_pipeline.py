@@ -196,6 +196,15 @@ class TestPipelinedTrainerParity:
             assert a.weights_digest == b.weights_digest
             assert a_sum == b_sum
 
+    def test_weights_digest_is_pinned(self):
+        """Cross-version guard: the digest of a fixed small run is a
+        recorded literal, so a change to init, update order, or the
+        digest's byte layout cannot pass unnoticed."""
+        report, _ = run_trainer(workers=0, cached_epochs=0, epochs=2)
+        assert report.weights_digest == (
+            "207937905686e5c921426951a3828bd7fad4245a1f7d0597159067e3cc4ccb49"
+        )
+
 
 class TestPipelinedTrainerBehavior:
     def test_report_accounting(self):

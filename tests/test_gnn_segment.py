@@ -45,6 +45,11 @@ class TestSegmentSum:
         np.testing.assert_array_equal(out[0], np.full(2, 5.0))
         np.testing.assert_array_equal(out[1:], np.zeros((2, 2)))
 
+    def test_scatter_add_exact_values(self):
+        values = np.array([[1.0], [2.0], [4.0]])
+        out = segment_sum(values, np.array([1, 1, 0]), 3)
+        assert out.tolist() == [[4.0], [3.0], [0.0]]
+
     def test_empty_input(self):
         out = segment_sum(np.empty((0, 3), dtype=np.float32), np.empty(0), 4)
         assert out.shape == (4, 3)
@@ -99,6 +104,12 @@ class TestRaggedSegmentSum:
         np.testing.assert_array_equal(out[1], values.sum(axis=0))
         np.testing.assert_array_equal(out[2], np.zeros(2))
         np.testing.assert_array_equal(out[3], np.zeros(2))
+
+    def test_interior_empty_segments_exact_values(self):
+        values = np.arange(6, dtype=np.float64).reshape(3, 2)
+        offsets = np.array([0, 0, 2, 2, 3])
+        out = ragged_segment_sum(values, offsets)
+        assert out.tolist() == [[0, 0], [2, 4], [0, 0], [4, 5]]
 
     def test_all_empty(self):
         out = ragged_segment_sum(

@@ -295,19 +295,8 @@ class TestSessionIntegration:
         for root, row in zip(roots, picks):
             assert set(row.tolist()) <= set(graph.neighbors(int(root)).tolist())
 
-    def test_session_kernels_numpy_matches_default(self, graph):
-        roots = np.arange(16)
-        a = GnnSession(graph, num_partitions=4, batched=True)
-        b = GnnSession(graph, num_partitions=4, batched=True, kernels="numpy")
-        ra = a.sample(roots, fanouts=(4, 4))
-        rb = b.sample(roots, fanouts=(4, 4))
-        for la, lb in zip(ra.layers, rb.layers):
-            assert np.array_equal(la, lb)
-
     def test_session_guards(self, graph):
         with pytest.raises(ConfigurationError):
             GnnSession(graph, workers=2, layout="ldg")
-        with pytest.raises(ConfigurationError):
-            GnnSession(graph, workers=2, kernels="numpy")
         with pytest.raises(ConfigurationError):
             GnnSession(graph, layout="metis")
